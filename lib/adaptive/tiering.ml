@@ -132,12 +132,7 @@ let execute ?cache ~policy ~(ctx : Quill_exec.Exec_ctx.t) (entry : Plan_cache.en
   let full_compile () =
     let c, dt =
       Timer.time (fun () ->
-          (* Pass the session's index registry: compiling against a fresh
-             one made every execution of an index-scan plan rebuild the
-             index from scratch (~1000x per-hit cost at traffic-harness
-             QPS). *)
-          Codegen.compile ~indexes:ctx.Quill_exec.Exec_ctx.indexes
-            ctx.Quill_exec.Exec_ctx.catalog entry.Plan_cache.plan)
+          Codegen.compile ctx.Quill_exec.Exec_ctx.catalog entry.Plan_cache.plan)
     in
     note_full ~operators dt;
     entry.Plan_cache.compiled <- Some c;

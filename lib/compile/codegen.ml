@@ -51,7 +51,6 @@ type consume = Value.t array -> unit
 type stage_ctx = {
   catalog : Catalog.t;
   params : Value.t array ref;
-  indexes : Quill_storage.Index.Registry.t;
   gov : Governor.t ref;
 }
 
@@ -222,15 +221,14 @@ let rec produce sctx (plan : Physical.t) ~needed (consume : consume) : unit -> u
           fun () ->
             let n, run = staged () in
             run 0 n consume)
-  | Physical.Index_scan { table; col; col_name; lo; hi; residual; _ } ->
+  | Physical.Index_scan { table; col; lo; hi; residual; _ } ->
       let t = Catalog.find_exn sctx.catalog table in
       let residual_p = Option.map (compile_pred sctx) residual in
       fun () ->
         let params = !(sctx.params) in
-        let ctx = Quill_exec.Exec_ctx.create ~params ~indexes:sctx.indexes sctx.catalog in
         let lo = Quill_exec.Index_access.eval_bound ~params lo in
         let hi = Quill_exec.Index_access.eval_bound ~params hi in
-        let ids = Quill_exec.Index_access.rowids ctx ~table ~col_name ~col ~lo ~hi in
+        let ids = Quill_exec.Index_access.rowids t ~col ~lo ~hi in
         let gov = !(sctx.gov) in
         List.iter
           (fun i ->
@@ -695,19 +693,15 @@ let m_compilations = Quill_obs.Metrics.counter "quill.codegen.compilations"
 let h_compile_seconds = Quill_obs.Metrics.histogram "quill.codegen.seconds"
 
 (** [compile catalog plan] stages [plan] once; the result can be run many
-    times with different parameters. *)
-let compile ?indexes catalog (plan : Physical.t) : compiled =
+    times with different parameters.  [indexes] is accepted for callers
+    that thread a session registry and is not consulted: index scans read
+    the index cached on the table version. *)
+let compile ?indexes:(_ : Quill_storage.Index.Registry.t option) catalog (plan : Physical.t) :
+    compiled =
   Quill_obs.Trace.with_span ~cat:"compile" "codegen" (fun () ->
       let (f : compiled), dt =
         Quill_util.Timer.time (fun () ->
-            let indexes =
-              match indexes with
-              | Some r -> r
-              | None -> Quill_storage.Index.Registry.create ()
-            in
-            let sctx =
-              { catalog; params = ref [||]; indexes; gov = ref Governor.none }
-            in
+            let sctx = { catalog; params = ref [||]; gov = ref Governor.none } in
             let out = Vec.create ~dummy:[||] in
             let out_arity = Schema.arity (Physical.schema_of plan) in
             let root =
@@ -745,19 +739,19 @@ let tier_name = function Tier_stencil -> "stencil" | Tier_full -> "full"
     falls back to full staging.  Covered shapes compile orders of
     magnitude faster (E23 measures the ratio), which is what makes
     compilation affordable for one-shot queries. *)
-let compile_tiered ?indexes catalog (plan : Physical.t) : compiled * tier =
+let compile_tiered catalog (plan : Physical.t) : compiled * tier =
   match Stencil_bind.bind catalog plan with
   | Some f ->
       (* Stencil drivers are pre-composed and cannot register spill
          hooks; executions under a spill-capable governor lazily fall
          back to the fully staged compile, which can. *)
-      let full = lazy (compile ?indexes catalog plan) in
+      let full = lazy (compile catalog plan) in
       let dispatch gov params =
         if Governor.can_spill gov then (Lazy.force full) gov params
         else f gov params
       in
       (dispatch, Tier_stencil)
-  | None -> (compile ?indexes catalog plan, Tier_full)
+  | None -> (compile catalog plan, Tier_full)
 
 (** [run ctx plan] one-shot compile-and-execute.  The fused loops carry no
     per-operator hooks (use the interpreted tiers for operator-level
@@ -766,8 +760,7 @@ let compile_tiered ?indexes catalog (plan : Physical.t) : compiled * tier =
     differential tests can cross-check any engine. *)
 let run (ctx : Quill_exec.Exec_ctx.t) plan =
   let f, _tier =
-    compile_tiered ~indexes:ctx.Quill_exec.Exec_ctx.indexes
-      ctx.Quill_exec.Exec_ctx.catalog plan
+    compile_tiered ctx.Quill_exec.Exec_ctx.catalog plan
   in
   let gov = ctx.Quill_exec.Exec_ctx.governor in
   match ctx.Quill_exec.Exec_ctx.profile with

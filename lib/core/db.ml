@@ -268,8 +268,8 @@ let wrap f =
 
 (* Point the session's catalog view at a committed snapshot: table
    versions become the snapshot's pointers, index declarations re-sync,
-   and the catalog version bump invalidates this session's plan and
-   index caches. *)
+   and the catalog version bump invalidates this session's plan cache.
+   Built indexes are not dropped: they belong to the table versions. *)
 let apply_snapshot db sh (snap : Store.snapshot) =
   Catalog.reset db.catalog snap.Store.tables;
   Index_reg.reset_defs db.indexes snap.Store.snap_index_defs;
@@ -345,7 +345,7 @@ let run_engine db engine ?profile ?(gov = Governor.none) ~params plan =
   Trace.with_span ~cat:"exec" ~args:[ ("engine", engine_name engine) ] "execute"
     (fun () ->
       let ctx =
-        Exec_ctx.create ~params ?profile ~indexes:db.indexes ~governor:gov db.catalog
+        Exec_ctx.create ~params ?profile ~governor:gov db.catalog
       in
       match engine with
       | Volcano -> Quill_exec.Volcano.run ctx plan
@@ -1020,7 +1020,7 @@ let query_adaptive db ?(params = [||]) ?timeout_ms ?budget_bytes sql =
           Trace.instant "plan-cache-hit";
           fill_subqueries db ~gov ~params entry.Plan_cache.subs;
           let ctx =
-            Exec_ctx.create ~params ~indexes:db.indexes ~governor:gov db.catalog
+            Exec_ctx.create ~params ~governor:gov db.catalog
           in
           let rows, dt =
             Quill_util.Timer.time (fun () ->
@@ -1244,8 +1244,8 @@ let open_durable ?(policy = Wal.On_commit) dir =
                             | Some tbl ->
                                 Csv.apply_patch tbl data;
                                 (* Patches bypass the DML paths, so bump the
-                                   catalog version by hand to invalidate any
-                                   lazily-built secondary indexes. *)
+                                   catalog version by hand to invalidate
+                                   cached plans and statistics. *)
                                 Catalog.bump db.catalog)
                       with e ->
                         replay_note :=

@@ -491,9 +491,6 @@ let finish_builder ?(ordered = false) b =
             | None ->
                 closed := true;
                 Spill.close_reader ~delete:true rd;
-                (match b.b_session with
-                | Some s -> Spill.note_consumed s
-                | None -> ());
                 None
         in
         lookahead next

@@ -1,33 +1,23 @@
-(* Shared index-scan runtime: resolve the ordered index (from the session
-   registry, or build one on the fly when executing a plan without its
-   registry) and produce matching rowids for evaluated bounds.
+(* Shared index-scan runtime: fetch the ordered index cached on the
+   table version being read (built on first use) and produce matching
+   rowids for evaluated bounds.
 
    A NULL bound value means the comparison can never be true, hence an
    empty result. *)
 
 module Value = Quill_storage.Value
-module Table = Quill_storage.Table
 module Index = Quill_storage.Index
-module Schema = Quill_storage.Schema
 
-(** [rowids ctx ~table ~col_name ~col ~lo ~hi] returns matching row ids in
+(** [rowids table ~col ~lo ~hi] returns matching row ids of [table] in
     index (key) order; bounds are already-evaluated values. *)
-let rowids (ctx : Exec_ctx.t) ~table ~col_name ~col ~lo ~hi =
+let rowids table ~col ~lo ~hi =
   let null_bound =
     (match lo with Some (v, _) when Value.is_null v -> true | _ -> false)
     || match hi with Some (v, _) when Value.is_null v -> true | _ -> false
   in
   if null_bound then []
   else begin
-    let index =
-      match Index.Registry.get ctx.Exec_ctx.indexes ctx.Exec_ctx.catalog ~table ~col:col_name with
-      | Some idx -> idx
-      | None ->
-          (* Plan built against a session with this index declared, but we
-             are executing without its registry: build ad hoc. *)
-          Index.Ordered_index.build (Quill_storage.Catalog.find_exn ctx.Exec_ctx.catalog table) col
-    in
-    Index.Ordered_index.range index ?lo ?hi ()
+    Index.Ordered_index.range (Index.Ordered_index.of_table table col) ?lo ?hi ()
   end
 
 (** [eval_bound ~params b] evaluates an index bound expression. *)

@@ -179,14 +179,7 @@ let spill_hash_join ?(mode = Inner) ~gov ~keys ~residual ~build_left
         | None -> ())
       slots
   in
-  let consume_run run f =
-    Spill.iter_run ~delete:true run f;
-    Spill.note_consumed sess
-  in
-  let drop_run run =
-    Spill.delete_run run;
-    Spill.note_consumed sess
-  in
+  let consume_run run f = Spill.iter_run ~delete:true run f in
   (* [build_feed]/[probe_feed] iterate one level's input rows; level 0
      feeds from the spools, deeper levels from partition runs. *)
   let rec join_level level build_feed probe_feed =
@@ -291,13 +284,13 @@ let spill_hash_join ?(mode = Inner) ~gov ~keys ~residual ~build_left
         for i = 0 to fanout - 1 do
           match (build_runs.(i), probe_runs.(i)) with
           | None, None -> ()
-          | Some b, None -> drop_run b
+          | Some b, None -> Spill.delete_run b
           | None, Some p ->
               (* No build rows: inner drops the partition wholesale,
                  outer pads every preserved probe row. *)
               if mode = Left_outer then
                 consume_run p (fun prow -> emit (pad prow))
-              else drop_run p
+              else Spill.delete_run p
           | Some b, Some p ->
               join_level (level + 1) (consume_run b) (consume_run p)
         done

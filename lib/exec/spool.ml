@@ -99,7 +99,6 @@ type set = {
   s_tail : Value.t array array;  (** in-memory remainder (sorted if keyed) *)
   s_tail_bytes : int;
   s_gov : Governor.t;
-  s_session : Spill.t option;
   mutable s_consumed : bool;
 }
 
@@ -123,7 +122,6 @@ let finish t =
     s_tail = tail;
     s_tail_bytes = t.charged;
     s_gov = t.gov;
-    s_session = t.session;
     s_consumed = false;
   }
 
@@ -148,7 +146,7 @@ let cursor_of run =
 
 (* Current row of a cursor, refilling from the next frame as needed;
    [None] once the run is exhausted (the file is deleted eagerly). *)
-let rec cursor_peek sess c =
+let rec cursor_peek c =
   if not c.c_open then None
   else if c.c_idx < Array.length c.c_batch then Some c.c_batch.(c.c_idx)
   else
@@ -156,20 +154,18 @@ let rec cursor_peek sess c =
     | Some rows ->
         c.c_batch <- rows;
         c.c_idx <- 0;
-        cursor_peek sess c
+        cursor_peek c
     | None ->
         c.c_open <- false;
         Spill.close_reader ~delete:true c.c_rd;
-        (match sess with Some s -> Spill.note_consumed s | None -> ());
         None
 
 let cursor_advance c = c.c_idx <- c.c_idx + 1
 
-let cursor_close sess c =
+let cursor_close c =
   if c.c_open then begin
     c.c_open <- false;
-    Spill.close_reader ~delete:true c.c_rd;
-    match sess with Some s -> Spill.note_consumed s | None -> ()
+    Spill.close_reader ~delete:true c.c_rd
   end
 
 (** [consume set f] streams every row through [f] exactly once,
@@ -188,11 +184,7 @@ let consume set f =
   | [], _ -> Array.iter f set.s_tail
   | runs, None ->
       List.iter
-        (fun run ->
-          Spill.iter_run ~delete:true run f;
-          match set.s_session with
-          | Some s -> Spill.note_consumed s
-          | None -> ())
+        (fun run -> Spill.iter_run ~delete:true run f)
         runs;
       Array.iter f set.s_tail
   | runs, Some keys ->
@@ -203,7 +195,7 @@ let consume set f =
       let tail = set.s_tail in
       let tpos = ref 0 in
       Fun.protect
-        ~finally:(fun () -> Array.iter (cursor_close set.s_session) cursors)
+        ~finally:(fun () -> Array.iter cursor_close cursors)
         (fun () ->
           let continue_ = ref true in
           while !continue_ do
@@ -213,7 +205,7 @@ let consume set f =
             let best = ref (-1) in
             let best_row = ref [||] in
             for i = 0 to nc - 1 do
-              match cursor_peek set.s_session cursors.(i) with
+              match cursor_peek cursors.(i) with
               | Some row ->
                   if !best < 0 || cmp row !best_row < 0 then begin
                     best := i;

@@ -177,7 +177,6 @@ let finish t =
         s_tail = tail;
         s_tail_bytes = t.charged;
         s_gov = t.gov;
-        s_session = t.session;
         s_consumed = false;
       }
     in

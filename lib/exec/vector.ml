@@ -93,7 +93,6 @@ type ctx = Exec_ctx.t = {
   catalog : Catalog.t;
   params : Value.t array;
   profile : Profile.t option;
-  indexes : Quill_storage.Index.Registry.t;
   governor : Governor.t;
 }
 
@@ -571,11 +570,11 @@ let rec build ctx counter plan ~needed : biter =
           in
           { next_batch; close = ignore }
         end
-    | Physical.Index_scan { table; col; col_name; lo; hi; residual; _ } ->
+    | Physical.Index_scan { table; col; lo; hi; residual; _ } ->
         let t = Catalog.find_exn ctx.catalog table in
         let lo = Index_access.eval_bound ~params:ctx.params lo in
         let hi = Index_access.eval_bound ~params:ctx.params hi in
-        let ids = Index_access.rowids ctx ~table ~col_name ~col ~lo ~hi in
+        let ids = Index_access.rowids t ~col ~lo ~hi in
         let rows =
           List.filter_map
             (fun i ->

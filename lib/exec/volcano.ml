@@ -19,7 +19,6 @@ type ctx = Exec_ctx.t = {
   catalog : Catalog.t;
   params : Value.t array;
   profile : Profile.t option;
-  indexes : Quill_storage.Index.Registry.t;
   governor : Governor.t;
 }
 
@@ -156,11 +155,11 @@ let rec build ctx counter plan : iter =
           end
         in
         { next; close = ignore }
-    | Physical.Index_scan { table; col; col_name; lo; hi; residual; _ } ->
+    | Physical.Index_scan { table; col; lo; hi; residual; _ } ->
         let t = Catalog.find_exn ctx.catalog table in
         let lo = Index_access.eval_bound ~params:ctx.params lo in
         let hi = Index_access.eval_bound ~params:ctx.params hi in
-        let ids = Index_access.rowids ctx ~table ~col_name ~col ~lo ~hi in
+        let ids = Index_access.rowids t ~col ~lo ~hi in
         let remaining = ref ids in
         let rec next () =
           Governor.tick ctx.governor;

@@ -345,7 +345,16 @@ let rec convert env opts plan ~needed : Physical.t =
               | Physical.Merge_join -> merge_cost
               | Physical.Block_nl -> nl_cost )
         | None ->
-            if hash_cost <= merge_cost && hash_cost <= nl_cost then
+            (* Under a budget that can spill, an equi-join always takes
+               the Grace hash join.  Merge and block-nl joins buffer both
+               inputs with no spill path, and whether those fit rests on
+               cardinality estimates: a filter on correlated predicates
+               estimated at one row but passing dozens, or an inner
+               estimated empty, prices them under the budget and the
+               governor then kills a query the hash join would answer. *)
+            if opts.spill && opts.budget_bytes <> None && pairs <> [] then
+              (Physical.Hash_join, hash_cost)
+            else if hash_cost <= merge_cost && hash_cost <= nl_cost then
               (Physical.Hash_join, hash_cost)
             else if merge_cost <= nl_cost then (Physical.Merge_join, merge_cost)
             else (Physical.Block_nl, nl_cost)

@@ -9,6 +9,7 @@ type t = { fd : Unix.file_descr }
 
 (** [connect ?host ~port ()] opens a connection. *)
 let connect ?(host = "127.0.0.1") ~port () =
+  Wire.ignore_sigpipe ();
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
    with e ->

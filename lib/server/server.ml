@@ -129,7 +129,11 @@ let response_of_error db = function
    while it runs.  Returns [response, quit_after]: [quit_after] is set
    when the client sent 'q' (or vanished) mid-query — the cancel flag is
    raised so the query unwinds quickly, and the connection closes after
-   the response is discarded. *)
+   the response is discarded.  Once the client is gone only the job's
+   wake-up pipe is watched, and however this returns it first waits for
+   the job: closing the pipe under a running job would let its wake-up
+   write land on a recycled fd number (a WAL file, another client's
+   socket). *)
 let run_statement t db fd exec =
   Metrics.incr m_queries;
   let result = ref (Wire.Err (Wire.Generic, "query did not run")) in
@@ -140,17 +144,29 @@ let run_statement t db fd exec =
     try ignore (Unix.write pipe_w (Bytes.make 1 '!') 0 1)
     with Unix.Unix_error _ -> ()
   in
+  let quit = ref false and running = ref true in
+  let hang_up () =
+    quit := true;
+    Db.cancel db
+  in
   Semaphore.Counting.acquire t.admission;
   let finally () =
+    (try
+       while !running do
+         match Unix.read pipe_r (Bytes.create 1) 0 1 with
+         | _ -> running := false
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       done
+     with Unix.Unix_error _ -> ());
     Semaphore.Counting.release t.admission;
     quiet_close pipe_r;
     quiet_close pipe_w
   in
   Fun.protect ~finally (fun () ->
       Pool.submit job;
-      let quit = ref false and running = ref true in
       while !running do
-        match Unix.select [ fd; pipe_r ] [] [] (-1.0) with
+        let watched = if !quit then [ pipe_r ] else [ fd; pipe_r ] in
+        match Unix.select watched [] [] (-1.0) with
         | readable, _, _ ->
             if List.mem pipe_r readable then running := false
             else if List.mem fd readable then begin
@@ -160,21 +176,20 @@ let run_statement t db fd exec =
               | Wire.Cancel ->
                   Metrics.incr m_cancels;
                   Db.cancel db
-              | Wire.Quit ->
-                  quit := true;
-                  Db.cancel db
-              | _ ->
-                  Wire.write_frame fd
-                    (Wire.encode_response
-                       (Wire.Err
-                          ( Wire.Protocol_err,
-                            "a query is already in flight on this session" )))
+              | Wire.Quit -> hang_up ()
+              | _ -> (
+                  try
+                    Wire.write_frame fd
+                      (Wire.encode_response
+                         (Wire.Err
+                            ( Wire.Protocol_err,
+                              "a query is already in flight on this session" )))
+                  with Unix.Unix_error _ -> hang_up ())
               | exception (End_of_file | Unix.Unix_error _ | Wire.Protocol_error _)
                 ->
                   (* Client vanished or sent garbage: abort the query and
                      drop the connection once it unwinds. *)
-                  quit := true;
-                  Db.cancel db
+                  hang_up ()
             end
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done;
@@ -267,6 +282,9 @@ let accept_loop t =
     thread.  The caller keeps the root session; every connection gets
     its own [Db.session store]. *)
 let start ?(config = default_config) store =
+  (* A client that hangs up mid-reply must cost its session, not the
+     process. *)
+  Wire.ignore_sigpipe ();
   let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   (try

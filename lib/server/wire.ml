@@ -273,6 +273,12 @@ let decode_response s =
 
 (* --- framed socket I/O -------------------------------------------------- *)
 
+(** [ignore_sigpipe ()] makes a write to a socket whose peer has gone
+    fail with [EPIPE] instead of killing the process (SIGPIPE's default
+    action).  Called by the server and the client before they touch a
+    socket; process-wide and idempotent. *)
+let ignore_sigpipe () = if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
 (* Loop [Unix.read] to fill exactly [len] bytes; 0 bytes = peer closed. *)
 let really_read fd buf ofs len =
   let got = ref 0 in

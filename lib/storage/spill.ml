@@ -162,7 +162,6 @@ type t = {
   mutable next_run : int;
   mutable bytes : int;  (** total bytes written by this session *)
   mutable runs : int;  (** total runs written by this session *)
-  mutable live : int;  (** run files not yet deleted *)
   lock : Mutex.t;  (** sessions are shared across pool domains *)
 }
 
@@ -194,14 +193,12 @@ let fresh_session root =
     next_run = 0;
     bytes = 0;
     runs = 0;
-    live = 0;
     lock = Mutex.create ();
   }
 
 let dir t = t.dir
 let bytes_spilled t = t.bytes
 let runs_written t = t.runs
-let live_runs t = t.live
 
 (* Create the session dir (and any missing ancestors — the tmpdir-based
    default root starts from nothing) through Sim_fs, so a crash budget
@@ -292,7 +289,6 @@ let finish_run w =
   Mutex.lock t.lock;
   t.bytes <- t.bytes + w.w_bytes;
   t.runs <- t.runs + 1;
-  t.live <- t.live + 1;
   Mutex.unlock t.lock;
   Metrics.add m_bytes w.w_bytes;
   Metrics.incr m_runs;
@@ -362,18 +358,10 @@ let delete_run run =
   end
 
 (** [close_reader ?delete rd] closes the channel; [~delete:true] also
-    removes the consumed run file eagerly and un-counts it from the
-    session's live set. *)
+    removes the consumed run file eagerly. *)
 let close_reader ?(delete = false) rd =
   close_in_noerr rd.rd_ic;
   if delete then delete_run rd.rd_run
-
-(** [note_consumed t] decrements the session's live-run count (called
-    when a consumed run is deleted eagerly). *)
-let note_consumed t =
-  Mutex.lock t.lock;
-  t.live <- max 0 (t.live - 1);
-  Mutex.unlock t.lock
 
 (** [iter_run ?delete run f] streams every row of [run] through [f]. *)
 let iter_run ?(delete = false) run f =
@@ -420,10 +408,7 @@ let cleanup t =
     let root = Filename.dirname parent in
     if String.length (Filename.basename root) >= 12
        && String.sub (Filename.basename root) 0 12 = "quill-spill-"
-    then (try Unix.rmdir root with Unix.Unix_error _ -> ());
-    Mutex.lock t.lock;
-    t.live <- 0;
-    Mutex.unlock t.lock
+    then (try Unix.rmdir root with Unix.Unix_error _ -> ())
   end
 
 (** [prune_orphans root] removes [<root>/spill] wholesale — every spill

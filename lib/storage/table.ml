@@ -5,7 +5,14 @@
    arrays per column — is built on demand and cached; any write invalidates
    the cache.  Scan operators choose the representation they want, which is
    exactly the "data layout is an algorithm choice" knob that experiment E6
-   measures. *)
+   measures.
+
+   Ordered secondary indexes are a second cached projection of the same
+   kind: per column, built lazily ({!Index.Ordered_index.of_table}) and
+   dropped by every in-place write.  A committed MVCC version is never
+   written again, so its indexes live as long as it does; the commit path
+   derives the next version's indexes from this one's instead of letting
+   them be rebuilt ({!Index.Ordered_index.derive}). *)
 
 module Vec = Quill_util.Vec
 
@@ -35,17 +42,34 @@ type tracker = {
     stamps it already holds. *)
 let default_chunk_rows = ref 1024
 
+(** A sorted (key, rowid) index over one column: ascending by
+    {!Value.compare}, ties broken by rowid; NULL keys are left out.  The
+    representation behind {!Index.Ordered_index}, declared here so a
+    table can cache one. *)
+type sorted_index = { keys : Value.t array; rowids : int array }
+
 type t = {
   name : string;
   schema : Schema.t;
   rows : Value.t array Vec.t;
   mutable columnar : Column.t array option;
+  indexes : (int * sorted_index) list Atomic.t;
+      (** column position -> cached index.  Atomic because committed
+          versions are read (and their indexes built) from several
+          domains at once. *)
   mutable tracker : tracker option;
 }
 
 (** [create ~name schema] returns an empty table. *)
 let create ~name schema =
-  { name; schema; rows = Vec.create ~dummy:[||]; columnar = None; tracker = None }
+  {
+    name;
+    schema;
+    rows = Vec.create ~dummy:[||];
+    columnar = None;
+    indexes = Atomic.make [];
+    tracker = None;
+  }
 
 (** [name t] is the table's name. *)
 let name t = t.name
@@ -55,6 +79,30 @@ let schema t = t.schema
 
 (** [row_count t] is the number of stored rows. *)
 let row_count t = Vec.length t.rows
+
+(* Every in-place write calls this: both cached projections describe the
+   rows as they were. *)
+let invalidate t =
+  t.columnar <- None;
+  Atomic.set t.indexes []
+
+(** [cached_index t col] is the index cached for column [col], if one has
+    been built or derived for this version. *)
+let cached_index t col = List.assoc_opt col (Atomic.get t.indexes)
+
+(** [cached_indexes t] lists every cached [(col, index)] pair. *)
+let cached_indexes t = Atomic.get t.indexes
+
+(** [cache_index t col idx] publishes [idx] as column [col]'s index and
+    returns the published one: when another domain got there first, its
+    index wins and [idx] is dropped. *)
+let rec cache_index t col idx =
+  let cur = Atomic.get t.indexes in
+  match List.assoc_opt col cur with
+  | Some won -> won
+  | None ->
+      if Atomic.compare_and_set t.indexes cur ((col, idx) :: cur) then idx
+      else cache_index t col idx
 
 let check_row t row =
   if Array.length row <> Schema.arity t.schema then
@@ -97,7 +145,7 @@ let insert t row =
   let row = widen t row in
   Vec.push t.rows row;
   (match t.tracker with Some tr -> tr.appended <- true | None -> ());
-  t.columnar <- None
+  invalidate t
 
 (** [insert_all t rows] appends many rows. *)
 let insert_all t rows = List.iter (insert t) rows
@@ -152,16 +200,17 @@ let of_columns ~name schema cols =
 (** [cow_copy t] is a copy-on-write clone for MVCC writers: the row
     vector is copied shallowly (row arrays are shared — no Table mutation
     ever writes into an existing row array, [update] replaces the slot
-    with a fresh array), and the columnar cache is carried over since the
-    rows are identical at copy time.  Mutating the clone never affects
-    the original, so committed versions can stay lock-free shared among
-    concurrent readers. *)
+    with a fresh array), and the columnar and index caches are carried
+    over since the rows are identical at copy time.  Mutating the clone
+    never affects the original, so committed versions can stay lock-free
+    shared among concurrent readers. *)
 let cow_copy t =
   {
     name = t.name;
     schema = t.schema;
     rows = Vec.copy t.rows;
     columnar = t.columnar;
+    indexes = Atomic.make (Atomic.get t.indexes);
     tracker = None;
   }
 
@@ -221,7 +270,7 @@ let tracker_clean tr =
     and replay applies exactly this splice. *)
 let merge ~base ours tr =
   let t = cow_copy base in
-  t.columnar <- None;
+  invalidate t;
   Hashtbl.iter
     (fun c () ->
       let lo = c * tr.chunk_rows in
@@ -246,7 +295,7 @@ let retain t keep =
   if !removed > 0 then begin
     Vec.clear t.rows;
     Vec.iter (fun row -> Vec.push t.rows row) kept;
-    t.columnar <- None;
+    invalidate t;
     (* Deletion renumbers every later row, so per-chunk identities are
        gone: the footprint degrades to the whole table. *)
     match t.tracker with Some tr -> tr.whole <- true | None -> ()
@@ -274,7 +323,7 @@ let update t ~where ~apply =
       | _ -> ()
     end
   done;
-  if !n > 0 then t.columnar <- None;
+  if !n > 0 then invalidate t;
   !n
 
 (** [set_row t i row] replaces row [i] wholesale, checked (and widened)
@@ -287,7 +336,7 @@ let set_row t i row =
   | Some tr when i < tr.base_rows ->
       Hashtbl.replace tr.touched (i / tr.chunk_rows) ()
   | _ -> ());
-  t.columnar <- None
+  invalidate t
 
 (** [to_row_list t] returns all rows as a list (copying). *)
 let to_row_list t =

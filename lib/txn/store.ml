@@ -65,6 +65,7 @@
      be acknowledged ahead of it. *)
 
 module Table = Quill_storage.Table
+module Index = Quill_storage.Index
 module Csv = Quill_storage.Csv
 module Wal = Quill_storage.Wal
 module Sim_fs = Quill_storage.Sim_fs
@@ -362,10 +363,13 @@ type install =
   | Merge of Table.t  (** replace with a footprint splice (pre-computed) *)
   | Skip  (** footprint is empty: nothing was actually written *)
 
+(* The installed version inherits its base's secondary indexes, patched
+   with the footprint ({!Index.Ordered_index.derive}), so the first read
+   after a commit does not re-sort the column.  A base with no built
+   index, and every [Whole] install, leave the new version to build its
+   indexes lazily. *)
 let plan_install txn name eff priv_opt cur =
-  let lookup_snap () =
-    List.find_opt (fun tb -> Table.name tb = name) txn.snap.tables
-  in
+  let snap_tbl = List.find_opt (fun tb -> Table.name tb = name) txn.snap.tables in
   match (priv_opt : Table.t option) with
   | None -> Remove
   | Some priv -> (
@@ -375,7 +379,7 @@ let plan_install txn name eff priv_opt cur =
           if chunks = [] && not appended then Skip
           else (
             match cur with
-            | Some cur_tbl when (match lookup_snap () with
+            | Some cur_tbl when (match snap_tbl with
                                  | Some snap_tbl -> cur_tbl != snap_tbl
                                  | None -> true) ->
                 (* The committed version moved since our snapshot but
@@ -383,8 +387,17 @@ let plan_install txn name eff priv_opt cur =
                    chunks and tail onto the current version so the other
                    committers' rows survive. *)
                 Metrics.incr m_merged_installs;
-                Merge (Table.merge ~base:cur_tbl priv tr)
-            | _ -> Put priv))
+                let merged = Table.merge ~base:cur_tbl priv tr in
+                Index.Ordered_index.derive ~base:cur_tbl ~ours:priv tr ~into:merged
+                  ~append_at:(Table.row_count cur_tbl);
+                Merge merged
+            | _ ->
+                (match snap_tbl with
+                | Some base when Table.row_count base = tr.Table.base_rows ->
+                    Index.Ordered_index.derive ~base ~ours:priv tr ~into:priv
+                      ~append_at:tr.Table.base_rows
+                | _ -> ());
+                Put priv))
 
 let is_merge = function Merge _ -> true | _ -> false
 

@@ -1,5 +1,7 @@
 (* Index scans: registry lifecycle, access-path selection, execution
-   correctness across engines, and staleness under DML. *)
+   correctness across engines, staleness under DML, and indexes carried
+   across MVCC commits (derived from the commit footprint, never
+   rebuilt). *)
 
 module Value = Quill_storage.Value
 module Table = Quill_storage.Table
@@ -7,6 +9,8 @@ module Catalog = Quill_storage.Catalog
 module Index = Quill_storage.Index
 module Physical = Quill_optimizer.Physical
 module Picker = Quill_optimizer.Picker
+module Metrics = Quill_obs.Metrics
+module Store = Quill_txn.Store
 
 let engines = [ Quill.Db.Volcano; Quill.Db.Vectorized; Quill.Db.Compiled ]
 
@@ -206,6 +210,230 @@ let test_sort_elision () =
     (Array.to_list (Array.map (fun row -> row.(0)) (Tutil.table_rows r))
     = [ Value.Int 100; Value.Int 101; Value.Int 102; Value.Int 103; Value.Int 104 ])
 
+(* --- indexes across commits ---------------------------------------------- *)
+
+let m_builds = Metrics.counter "quill.index.builds"
+let m_derives = Metrics.counter "quill.index.derives"
+let m_merges = Metrics.counter "quill.txn.merged_installs"
+
+let with_chunk_rows n f =
+  let old = !Table.default_chunk_rows in
+  Table.default_chunk_rows := n;
+  Fun.protect ~finally:(fun () -> Table.default_chunk_rows := old) f
+
+let run db sql = ignore (Quill.Db.exec db sql)
+
+(* Table [t (id, k, v)]: [id] is the row number, [k] the indexed key. *)
+let seed_kv db keys =
+  run db "CREATE TABLE t (id INT NOT NULL, k INT, v INT NOT NULL)";
+  let vals =
+    List.mapi
+      (fun i k ->
+        Printf.sprintf "(%d, %s, %d)" i
+          (match k with Some k -> string_of_int k | None -> "NULL")
+          i)
+      keys
+  in
+  run db ("INSERT INTO t VALUES " ^ String.concat ", " vals);
+  run db "CREATE INDEX ON t (k)"
+
+let committed store name =
+  List.find (fun t -> Table.name t = name) (Store.snapshot store).Store.tables
+
+let same_index (a : Index.Ordered_index.t) (b : Index.Ordered_index.t) =
+  Array.length a.keys = Array.length b.keys
+  && Array.for_all2 (fun x y -> Value.compare x y = 0) a.keys b.keys
+  && a.rowids = b.rowids
+
+(* One build, then N non-key UPDATE commits, each read through the index
+   from both sessions: every later version inherits the index. *)
+let test_index_metrics () =
+  let root = Quill.Db.create () in
+  seed_kv root (List.init 2000 (fun i -> Some (i * 7 mod 2000)));
+  let store = Quill.Db.share root in
+  let s1 = Quill.Db.session store and s2 = Quill.Db.session store in
+  let read s = Quill.Db.query s "SELECT v FROM t WHERE k = 42" in
+  Alcotest.(check bool) "point read uses the index" true
+    (has_index_scan (Quill.Db.plan s1 "SELECT v FROM t WHERE k = 42"));
+  let b0 = Metrics.value m_builds and d0 = Metrics.value m_derives in
+  ignore (read s1);
+  ignore (read s2);
+  Alcotest.(check int) "one build" 1 (Metrics.value m_builds - b0);
+  for i = 1 to 20 do
+    run s1 (Printf.sprintf "UPDATE t SET v = %d WHERE id = %d" (i * 3) (i * 97));
+    ignore (read s1);
+    ignore (read s2)
+  done;
+  Alcotest.(check int) "still one build" 1 (Metrics.value m_builds - b0);
+  Alcotest.(check int) "one derive per commit" 20 (Metrics.value m_derives - d0);
+  Alcotest.(check bool) "derived index = fresh build" true
+    (let v = committed store "t" in
+     same_index (Option.get (Table.cached_index v 1)) (Index.Ordered_index.build v 1))
+
+(* Random two-session histories over [t]: key and non-key UPDATEs (keys
+   to and from NULL), INSERTs (NULL keys included), DELETEs (a whole-table
+   footprint), ROLLBACKs, and explicit transactions that commit
+   concurrently and merge.  After every commit the committed version's
+   cached index must equal a fresh build, and indexed queries must equal
+   a Volcano full scan in both sessions.  Finally recovery from the WAL
+   must answer the same. *)
+type hop =
+  | Begin of int
+  | Commit of int
+  | Rollback of int
+  | Set_key of int * int * int * int option  (** session, first id, count, key *)
+  | Set_val of int * int * int * int  (** session, first id, count, value *)
+  | Insert of int * int option  (** session, key *)
+  | Delete of int * int  (** session, id *)
+
+let kv_rows = 1000
+let kv_chunk = 64
+
+let show_hop = function
+  | Begin s -> Printf.sprintf "s%d BEGIN" s
+  | Commit s -> Printf.sprintf "s%d COMMIT" s
+  | Rollback s -> Printf.sprintf "s%d ROLLBACK" s
+  | Set_key (s, id, n, k) ->
+      Printf.sprintf "s%d k=%s ids %d+%d" s
+        (match k with Some k -> string_of_int k | None -> "NULL") id n
+  | Set_val (s, id, n, v) -> Printf.sprintf "s%d v=%d ids %d+%d" s v id n
+  | Insert (s, k) ->
+      Printf.sprintf "s%d insert k=%s" s (match k with Some k -> string_of_int k | None -> "NULL")
+  | Delete (s, id) -> Printf.sprintf "s%d delete id %d" s id
+
+let hop_gen =
+  let open QCheck2.Gen in
+  let key = frequency [ (5, map Option.some (int_range 0 99)); (1, pure None) ] in
+  let sess = int_range 0 1 in
+  let id = int_range 0 (kv_rows - 1) in
+  frequency
+    [
+      (2, map (fun s -> Begin s) sess);
+      (2, map (fun s -> Commit s) sess);
+      (1, map (fun s -> Rollback s) sess);
+      (4, map4 (fun s i n k -> Set_key (s, i, n, k)) sess id (int_range 1 3) key);
+      (3, map4 (fun s i n v -> Set_val (s, i, n, v)) sess id (int_range 1 20) (int_range 0 99));
+      (2, map2 (fun s k -> Insert (s, k)) sess key);
+      (1, map2 (fun s i -> Delete (s, i)) sess id);
+    ]
+
+(* The seed rows come from a seed rather than a generated list, so
+   shrinking a failure keeps a realistic key distribution. *)
+let seed_keys seed =
+  let rng = Random.State.make [| seed |] in
+  List.init kv_rows (fun _ ->
+      if Random.State.int rng 7 = 0 then None else Some (Random.State.int rng 100))
+
+let history_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let* hops = list_size (int_range 4 14) hop_gen in
+  pure (seed, hops)
+
+let check_committed_index store =
+  let v = committed store "t" in
+  (match Table.cached_index v 1 with
+  | Some idx ->
+      if not (same_index idx (Index.Ordered_index.build v 1)) then
+        Alcotest.fail "committed version's index differs from a fresh build"
+  | None -> ());
+  (* Build it if absent, so the next commit has an index to derive from. *)
+  ignore (Index.Ordered_index.of_table v 1)
+
+let indexed_queries =
+  [ "SELECT id, v FROM t WHERE k = 7";
+    "SELECT id, k FROM t WHERE k = 0";
+    "SELECT id, k, v FROM t WHERE k >= 10 AND k < 13";
+    "SELECT id FROM t WHERE k > 97";
+    "SELECT count(*), sum(v) FROM t WHERE k BETWEEN 3 AND 5" ]
+
+let check_queries db =
+  List.iter
+    (fun sql ->
+      let indexed = Tutil.table_rows (Quill.Db.query db sql) in
+      Quill.Db.set_options db { Picker.default_options with Picker.enable_index = false };
+      let scan = Tutil.table_rows (Quill.Db.query db ~engine:Quill.Db.Volcano sql) in
+      Quill.Db.set_options db Picker.default_options;
+      Tutil.check_same_unordered ("index vs scan: " ^ sql) scan indexed)
+    indexed_queries
+
+let sql_of_hop = function
+  | Set_key (_, id, n, k) ->
+      Printf.sprintf "UPDATE t SET k = %s WHERE id >= %d AND id < %d"
+        (match k with Some k -> string_of_int k | None -> "NULL") id (id + n)
+  | Set_val (_, id, n, v) ->
+      Printf.sprintf "UPDATE t SET v = v + %d WHERE id >= %d AND id < %d" v id (id + n)
+  | Insert (_, k) ->
+      Printf.sprintf "INSERT INTO t VALUES (%d, %s, 0)" kv_rows
+        (match k with Some k -> string_of_int k | None -> "NULL")
+  | Delete (_, id) -> Printf.sprintf "DELETE FROM t WHERE id = %d" id
+  | Begin _ -> "BEGIN"
+  | Commit _ -> "COMMIT"
+  | Rollback _ -> "ROLLBACK"
+
+let session_of = function
+  | Begin s | Commit s | Rollback s | Set_key (s, _, _, _) | Set_val (s, _, _, _)
+  | Insert (s, _) | Delete (s, _) ->
+      s
+
+(* Every history starts with two explicit transactions on distant
+   chunks that commit in turn: the first installs a derived index, the
+   second merges onto it. *)
+let prefix =
+  [ Begin 0; Begin 1; Set_val (0, 0, 3, 5); Set_key (1, 6 * kv_chunk, 2, Some 99);
+    Commit 0; Commit 1 ]
+
+let replay_history (seed, hops) =
+  let dir = Filename.temp_file "quill_index" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+  @@ fun () ->
+  with_chunk_rows kv_chunk @@ fun () ->
+  let root, _ = Quill.Db.open_durable ~policy:Quill_storage.Wal.Never dir in
+  seed_kv root (seed_keys seed);
+  let store = Quill.Db.share root in
+  let sessions = [| Quill.Db.session store; Quill.Db.session store |] in
+  if not (has_index_scan (Quill.Db.plan sessions.(0) (List.hd indexed_queries))) then
+    Alcotest.fail "point query does not use the index";
+  check_committed_index store;
+  let d0 = Metrics.value m_derives and g0 = Metrics.value m_merges in
+  let committed () =
+    check_committed_index store;
+    Array.iter check_queries sessions
+  in
+  List.iter
+    (fun hop ->
+      let s = sessions.(session_of hop) in
+      let in_txn = Quill.Db.in_transaction s in
+      match hop with
+      | Begin _ -> if not in_txn then run s "BEGIN"
+      | Rollback _ -> if in_txn then run s "ROLLBACK"
+      | Commit _ ->
+          if in_txn then begin
+            (try run s "COMMIT" with Quill.Db.Conflict _ -> ());
+            committed ()
+          end
+      | _ ->
+          run s (sql_of_hop hop);
+          if not in_txn then committed ())
+    (prefix @ hops);
+  Array.iter (fun s -> if Quill.Db.in_transaction s then run s "ROLLBACK") sessions;
+  if Metrics.value m_derives - d0 < 2 then Alcotest.fail "no index was derived";
+  if Metrics.value m_merges - g0 < 1 then Alcotest.fail "no install merged";
+  let live = Tutil.table_rows (Quill.Db.query sessions.(0) "SELECT id, k, v FROM t") in
+  let recovered, _ = Quill.Db.open_durable ~policy:Quill_storage.Wal.Never dir in
+  Tutil.check_same_unordered "recovered rows" live
+    (Tutil.table_rows (Quill.Db.query recovered "SELECT id, k, v FROM t"));
+  check_queries recovered;
+  true
+
+let prop_derivation =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"derived index = build; index = scan"
+       ~print:(fun (seed, hops) ->
+         Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map show_hop hops)))
+       history_gen replay_history)
+
 let () =
   Alcotest.run "index"
     [
@@ -223,5 +451,10 @@ let () =
           Alcotest.test_case "strings and dates" `Quick test_index_on_strings_and_dates;
           prop_index_vs_scan;
           Alcotest.test_case "sort elision" `Quick test_sort_elision;
+        ] );
+      ( "commits",
+        [
+          Alcotest.test_case "index metrics: 1 build, N derives" `Quick test_index_metrics;
+          prop_derivation;
         ] );
     ]

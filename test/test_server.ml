@@ -369,6 +369,65 @@ let test_disconnect_rolls_back () =
         (one_int (Client.query c2 "SELECT MAX(a) FROM t"));
       Client.close c2)
 
+(* A client that asks for a large result, reads 10 bytes and hangs up
+   leaves the server writing into a dead socket.  That must cost the
+   server (here: the test process) nothing but the session: its
+   transaction rolls back, its admission permit comes back, and another
+   session keeps being served.  The result (~5 MB) is larger than the
+   kernel's largest TCP send buffer, so the reply write is still blocked
+   when the client goes. *)
+let test_reader_hangs_up_mid_reply () =
+  let root = Db.create () in
+  let schema =
+    Quill_storage.Schema.create
+      [ Quill_storage.Schema.col "a" Value.Int_t; Quill_storage.Schema.col "pad" Value.Str_t ]
+  in
+  let pad = String.make 250 'p' in
+  Quill_storage.Catalog.add (Db.catalog root)
+    (Table.of_rows ~name:"big" schema
+       (List.init 20000 (fun i -> [| Value.Int i; Value.Str pad |])));
+  let config = { Server.default_config with port = 0; max_concurrent_queries = 1 } in
+  let srv = Server.start ~config (Db.share root) in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let port = Server.port srv in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* A small receive window keeps the server blocked in its reply write
+     when the client hangs up. *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let send sql = Wire.write_frame fd (Wire.encode_request (Wire.Query sql)) in
+  let reply () = Wire.decode_response (Wire.read_frame fd) in
+  send "BEGIN";
+  expect_affected (reply ());
+  send "INSERT INTO big VALUES (-1, 'x')";
+  expect_affected (reply ());
+  send "SELECT * FROM big";
+  let head = Bytes.create 10 in
+  Wire.really_read fd head 0 10;
+  (* Half-close first: the reset the close then sends (data is still
+     unread) lands on a server socket in CLOSE_WAIT, which reports EPIPE
+     to the blocked reply write — the case that raises SIGPIPE. *)
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Unix.close fd;
+  let rec wait tries =
+    if Atomic.get srv.Server.sessions > 0 then
+      if tries = 0 then Alcotest.fail "the dropped session never unwound"
+      else begin
+        Thread.delay 0.01;
+        wait (tries - 1)
+      end
+  in
+  wait 500;
+  Alcotest.(check int) "admission permit returned" 1
+    (Semaphore.Counting.get_value srv.Server.admission);
+  let c = Client.connect ~port () in
+  Alcotest.(check int) "dropped transaction rolled back" 0
+    (one_int (Client.query c "SELECT count(*) FROM big WHERE a < 0"));
+  Alcotest.(check int) "second session served" 20000
+    (one_int (Client.query c "SELECT count(*) FROM big"));
+  Client.close c
+
 (* --- the differential test: 8 concurrent sessions ----------------------- *)
 
 (* 5 readers scan SUM(bal) — which transfers preserve — while 3 writers
@@ -584,6 +643,8 @@ let () =
             test_tcp_disjoint_writers;
           Alcotest.test_case "disconnect rolls back" `Quick
             test_disconnect_rolls_back;
+          Alcotest.test_case "reader hangs up mid-reply" `Quick
+            test_reader_hangs_up_mid_reply;
         ] );
       ( "concurrency",
         [
